@@ -192,8 +192,15 @@ class QueryAnswerer {
       const optimizer::ViewSelectionOptions& selection = {},
       const reformulation::ReformulationOptions& reform = {});
 
-  /// \brief Applies an externally computed selection (see SelectViews).
+  /// \brief Applies an externally computed selection (see SelectViews). An
+  /// empty selection clears the eviction protection and the GCov hints.
   void ApplyViewSelection(const optimizer::ViewSelectionResult& selection);
+
+  /// \brief The GCov cover hints of the latest view selection (empty when
+  /// none is applied).
+  const optimizer::ViewHints& view_hints() const RDFREF_LIFETIME_BOUND {
+    return view_hints_;
+  }
 
   /// \brief The load-time (or latest Reencode) hierarchy-encoder report.
   const schema::EncodingReport& encoding_report() const RDFREF_LIFETIME_BOUND {

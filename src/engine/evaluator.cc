@@ -287,7 +287,7 @@ bool Evaluator::EvaluateCqInto(const Cq& q, const CancelToken& cancel,
                                            atom.range_hi);
       } else {
         f.range = f.cursor.ResetInterval(*store_, ps, pp, po, atom.range_pos,
-                                         atom.range_hi, residual);
+                                         atom.range_hi, residual, &f.hint);
       }
     } else if (d == 0 && !residual.any()) {
       f.range = cache->LeafRange(ps, pp, po);

@@ -76,7 +76,8 @@ class ScanCache {
 
   /// \brief Interval analogue of LeafRange: zero-copy when the source
   /// exposes the interval contiguously, else one shared materialization of
-  /// the widened-and-filtered scan per distinct interval pattern.
+  /// the source's ScanIntervalInto per distinct interval pattern (a filtered
+  /// prefix block, or a per-generation snapshot merge; DESIGN.md §12.2).
   std::span<const rdf::Triple> LeafIntervalRange(rdf::TermId s, rdf::TermId p,
                                                  rdf::TermId o, int range_pos,
                                                  rdf::TermId hi) const

@@ -97,6 +97,32 @@ AtomReformulation DeriveBound(const AtomReformulation& base, Atom atom,
   return out;
 }
 
+template <typename T>
+bool SameElements(std::vector<T> a, std::vector<T> b) {
+  std::sort(a.begin(), a.end());
+  std::sort(b.begin(), b.end());
+  return a == b;
+}
+
+/// True when interval member `iv` retrieves every row of classic member
+/// `m`: m's atom has a constant inside iv's interval at the ranged
+/// position and equals iv's atom elsewhere, and both carry the same head
+/// bindings and resource constraints.
+bool IntervalCovers(const AtomReformulation& iv, const AtomReformulation& m) {
+  const Atom& a = iv.atom;
+  const Atom& b = m.atom;
+  if (!a.has_range() || b.has_range() || !(a.s == b.s)) return false;
+  const bool on_p = a.range_pos == Atom::kRangeP;
+  const QTerm& ranged = on_p ? b.p : b.o;
+  if (ranged.is_var || ranged.term() < a.range_lo() ||
+      ranged.term() > a.range_hi) {
+    return false;
+  }
+  if (on_p ? !(a.o == b.o) : !(a.p == b.p)) return false;
+  return SameElements(iv.bindings, m.bindings) &&
+         SameElements(iv.resource_vars, m.resource_vars);
+}
+
 }  // namespace
 
 Reformulator::Reformulator(const schema::Schema* schema,
@@ -289,7 +315,21 @@ std::vector<AtomReformulation> Reformulator::ReformulateAtom(
       }
     }
   }
-  return result;
+  // An interval member covers its term's whole encoded subtree, the term
+  // itself included, so the classic member it was fused from (the seed
+  // atom, for a constant property or class) retrieves a subset of its rows
+  // and would only make every product CQ it joins evaluate twice.
+  std::vector<AtomReformulation> kept;
+  kept.reserve(result.size());
+  for (const AtomReformulation& m : result) {
+    const bool covered =
+        std::any_of(result.begin(), result.end(),
+                    [&](const AtomReformulation& iv) {
+                      return IntervalCovers(iv, m);
+                    });
+    if (!covered) kept.push_back(m);
+  }
+  return kept;
 }
 
 bool Reformulator::AtomsIndependent(const Cq& q) const {

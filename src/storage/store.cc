@@ -249,42 +249,93 @@ std::span<const rdf::Triple> Store::EqualRangeSpanHinted(
   return {r.first, static_cast<size_t>(r.second - r.first)};
 }
 
-bool Store::TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
-                                int range_pos, rdf::TermId hi,
-                                std::span<const rdf::Triple>* out) const {
+Store::Range Store::IntervalBlock(rdf::TermId s, rdf::TermId p,
+                                  rdf::TermId o, int range_pos, rdf::TermId hi,
+                                  RangeHint* hint) const {
   const rdf::TermId kMin = 0;
   const rdf::TermId kMax = static_cast<rdf::TermId>(-2);
-  Range r{nullptr, nullptr};
-  if (range_pos == 2) {
+  const bool bs = s != kAny;
+  if (range_pos == kIntervalO) {
     // Object interval [o, hi].
-    const bool bs = s != kAny;
-    const bool bp = p != kAny;
-    if (bs && bp) {
-      r = PrefixRange<OrderSpo>(spo_, rdf::Triple(s, p, o),
-                                rdf::Triple(s, p, hi));
-    } else if (bp) {
-      r = PrefixRange<OrderPos>(pos_, rdf::Triple(kMin, p, o),
-                                rdf::Triple(kMax, p, hi));
-    } else if (!bs) {
-      r = PrefixRange<OrderOsp>(osp_, rdf::Triple(kMin, kMin, o),
-                                rdf::Triple(kMax, kMax, hi));
-    } else {
-      return false;  // (s ? [lo..hi]): no order is contiguous
+    if (p != kAny) {
+      if (bs) {
+        return PrefixRangeImpl<OrderSpo>(spo_, rdf::Triple(s, p, o),
+                                         rdf::Triple(s, p, hi), hint);
+      }
+      return PrefixRangeImpl<OrderPos>(pos_, rdf::Triple(kMin, p, o),
+                                       rdf::Triple(kMax, p, hi), hint);
     }
-  } else {
-    // Property interval [p, hi].
-    const bool bs = s != kAny;
-    if (o != kAny) return false;  // (? [lo..hi] o): no order is contiguous
-    if (bs) {
-      r = PrefixRange<OrderSpo>(spo_, rdf::Triple(s, p, kMin),
-                                rdf::Triple(s, hi, kMax));
-    } else {
-      r = PrefixRange<OrderPso>(pso_, rdf::Triple(kMin, p, kMin),
-                                rdf::Triple(kMax, hi, kMax));
+    if (bs) {  // (s ? [lo..hi]): the subject's SPO block
+      return PrefixRangeImpl<OrderSpo>(spo_, rdf::Triple(s, kMin, kMin),
+                                       rdf::Triple(s, kMax, kMax), hint);
     }
+    return PrefixRangeImpl<OrderOsp>(osp_, rdf::Triple(kMin, kMin, o),
+                                     rdf::Triple(kMax, kMax, hi), hint);
   }
+  // Property interval [p, hi].
+  if (o != kAny) {
+    if (bs) {  // (s [lo..hi] o): the (o, s) block of OSP is sorted by p
+      return PrefixRangeImpl<OrderOsp>(osp_, rdf::Triple(s, p, o),
+                                       rdf::Triple(s, hi, o), hint);
+    }
+    // (? [lo..hi] o): the object's OSP block
+    return PrefixRangeImpl<OrderOsp>(osp_, rdf::Triple(kMin, kMin, o),
+                                     rdf::Triple(kMax, kMax, o), hint);
+  }
+  if (bs) {
+    return PrefixRangeImpl<OrderSpo>(spo_, rdf::Triple(s, p, kMin),
+                                     rdf::Triple(s, hi, kMax), hint);
+  }
+  return PrefixRangeImpl<OrderPso>(pso_, rdf::Triple(kMin, p, kMin),
+                                   rdf::Triple(kMax, hi, kMax), hint);
+}
+
+bool Store::TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p,
+                                      rdf::TermId o, int range_pos,
+                                      rdf::TermId hi,
+                                      std::span<const rdf::Triple>* out,
+                                      RangeHint* hint) const {
+  if (!IntervalIsContiguous(s, p, o, range_pos)) return false;
+  const Range r = IntervalBlock(s, p, o, range_pos, hi, hint);
   *out = {r.first, static_cast<size_t>(r.second - r.first)};
   return true;
+}
+
+void Store::AppendIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                  int range_pos, rdf::TermId hi,
+                                  std::vector<rdf::Triple>* out) const {
+  const Range r = IntervalBlock(s, p, o, range_pos, hi, nullptr);
+  if (IntervalIsContiguous(s, p, o, range_pos)) {
+    out->insert(out->end(), r.first, r.second);
+    return;
+  }
+  // A prefix block of SPO (subject) or OSP (object), filtered on the
+  // ranged position.
+  for (const rdf::Triple* t = r.first; t != r.second; ++t) {
+    if (MatchesPattern(*t, s, p, o, range_pos, hi)) out->push_back(*t);
+  }
+}
+
+void Store::ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                             int range_pos, rdf::TermId hi,
+                             std::vector<rdf::Triple>* out) const {
+  out->clear();
+  AppendIntervalMatches(s, p, o, range_pos, hi, out);
+  if (!std::is_sorted(out->begin(), out->end())) {
+    std::sort(out->begin(), out->end());
+  }
+}
+
+size_t Store::CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                   int range_pos, rdf::TermId hi) const {
+  const Range r = IntervalBlock(s, p, o, range_pos, hi, nullptr);
+  if (IntervalIsContiguous(s, p, o, range_pos)) {
+    return static_cast<size_t>(r.second - r.first);
+  }
+  return static_cast<size_t>(
+      std::count_if(r.first, r.second, [&](const rdf::Triple& t) {
+        return MatchesPattern(t, s, p, o, range_pos, hi);
+      }));
 }
 
 void Store::Scan(rdf::TermId s, rdf::TermId p, rdf::TermId o,

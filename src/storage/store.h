@@ -93,12 +93,50 @@ class Store : public TripleSource {
   /// one clustered permutation stores the interval contiguously —
   ///   object interval   (s p [lo..hi]) on SPO, (? p [lo..hi]) on POS,
   ///                     (? ? [lo..hi]) on OSP;
-  ///   property interval (s [lo..hi] ?) on SPO, (? [lo..hi] ?) on PSO.
+  ///   property interval (s [lo..hi] ?) on SPO, (? [lo..hi] ?) on PSO,
+  ///                     (s [lo..hi] o) on OSP (the (o, s) block is sorted
+  ///                     by p).
   /// The remaining shapes — (s ? [lo..hi]) and (? [lo..hi] o) — interleave
-  /// other ids inside every order and return false (buffered fallback).
+  /// other ids inside every order and return false; ScanIntervalInto
+  /// serves them by filtering one SPO or OSP prefix block.
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
-                           std::span<const rdf::Triple>* out) const override;
+                           std::span<const rdf::Triple>* out) const override {
+    return TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out, nullptr);
+  }
+
+  /// \brief Hinted interval fast path: the galloping search of
+  /// EqualRangeSpanHinted over the interval's index range.
+  bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                 int range_pos, rdf::TermId hi,
+                                 std::span<const rdf::Triple>* out,
+                                 RangeHint* hint) const override;
+
+  /// \brief Every interval match in SPO order, from the index range or the
+  /// filtered prefix block (see TryGetIntervalRange).
+  void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                        int range_pos, rdf::TermId hi,
+                        std::vector<rdf::Triple>* out) const override;
+
+  /// \brief Exact interval match count: the index range's size, or the
+  /// filtered prefix block's count.
+  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                              int range_pos, rdf::TermId hi) const override;
+
+  /// \brief Appends (without clearing `out`) every interval match in index
+  /// order — not SPO order for the (? p [lo..hi]), (? ? [lo..hi]) and
+  /// (? [lo..hi] ?) ranges. SnapshotSource merges generations with it.
+  void AppendIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                             int range_pos, rdf::TermId hi,
+                             std::vector<rdf::Triple>* out) const;
+
+  /// \brief True when the interval shape is one clustered index range
+  /// (TryGetIntervalRange succeeds on it).
+  static bool IntervalIsContiguous(rdf::TermId s, rdf::TermId p,
+                                   rdf::TermId o, int range_pos) {
+    return range_pos == kIntervalO ? s == kAny || p != kAny
+                                   : s != kAny || o == kAny;
+  }
 
   /// \brief Exact number of triples matching the pattern (index-only).
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
@@ -121,6 +159,11 @@ class Store : public TripleSource {
   Range EqualRange(rdf::TermId s, rdf::TermId p, rdf::TermId o) const;
   Range EqualRangeImpl(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                        RangeHint* hint) const;
+  // The interval's index range when IntervalIsContiguous, otherwise the
+  // prefix block of its bound position, which callers filter on the
+  // ranged position.
+  Range IntervalBlock(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                      int range_pos, rdf::TermId hi, RangeHint* hint) const;
 
   const rdf::Dictionary* dict_;
   std::vector<rdf::Triple> spo_;  // sorted (s, p, o)

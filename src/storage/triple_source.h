@@ -1,6 +1,7 @@
 #ifndef RDFREF_STORAGE_TRIPLE_SOURCE_H_
 #define RDFREF_STORAGE_TRIPLE_SOURCE_H_
 
+#include <algorithm>
 #include <functional>
 #include <span>
 #include <unordered_set>
@@ -16,12 +17,35 @@ namespace storage {
 /// \brief Wildcard marker in scan patterns ("any value at this position").
 inline constexpr rdf::TermId kAny = rdf::kInvalidTermId;
 
+/// \brief Ranged-position codes of the interval access methods (the values
+/// of query::Atom::kRangeP / kRangeO). kNoInterval marks a classic pattern
+/// wherever a helper takes either kind.
+inline constexpr int kIntervalP = 1;
+inline constexpr int kIntervalO = 2;
+inline constexpr int kNoInterval = 3;
+
 /// \brief True when triple `t` matches the (s, p, o) pattern; kAny
 /// wildcards a position.
 inline bool MatchesPattern(const rdf::Triple& t, rdf::TermId s, rdf::TermId p,
                            rdf::TermId o) {
   return (s == kAny || t.s == s) && (p == kAny || t.p == p) &&
          (o == kAny || t.o == o);
+}
+
+/// \brief Interval form of MatchesPattern: the position `range_pos` selects
+/// (kIntervalP or kIntervalO) matches any id in [its pattern value, hi];
+/// kNoInterval is the classic test.
+inline bool MatchesPattern(const rdf::Triple& t, rdf::TermId s, rdf::TermId p,
+                           rdf::TermId o, int range_pos, rdf::TermId hi) {
+  if (range_pos == kIntervalP) {
+    return (s == kAny || t.s == s) && t.p >= p && t.p <= hi &&
+           (o == kAny || t.o == o);
+  }
+  if (range_pos == kIntervalO) {
+    return (s == kAny || t.s == s) && (p == kAny || t.p == p) && t.o >= o &&
+           t.o <= hi;
+  }
+  return MatchesPattern(t, s, p, o);
 }
 
 /// \brief Conservative index of which triple patterns a set of overlay
@@ -33,32 +57,61 @@ inline bool MatchesPattern(const rdf::Triple& t, rdf::TermId s, rdf::TermId p,
 /// the zero-copy base fast path for scans the overlay provably cannot
 /// affect.
 ///
-/// MayMatch checks EXACT ids only. An interval probe (TryGetIntervalRange)
-/// must NOT pass the interval's low endpoint here — that would miss overlay
-/// triples touching ids strictly inside (lo, hi]. Interval callers widen the
-/// ranged position to kAny before consulting any presence filter.
+/// Interval patterns pass `range_pos`/`hi`: the ranged position then asks
+/// whether any tracked id lies in [lo, hi], never just whether the low
+/// endpoint is tracked (that would miss overlay triples touching ids
+/// strictly inside (lo, hi]). Small sets answer exactly; large ones answer
+/// from the tracked [min, max] span, which is conservative.
 class PatternPresence {
  public:
   void Add(const rdf::Triple& t) {
-    s_.insert(t.s);
-    p_.insert(t.p);
-    o_.insert(t.o);
+    s_.Add(t.s);
+    p_.Add(t.p);
+    o_.Add(t.o);
   }
 
   void Clear() {
-    s_.clear();
-    p_.clear();
-    o_.clear();
+    s_ = {};
+    p_ = {};
+    o_ = {};
   }
 
-  bool MayMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    if (p_.empty()) return false;  // nothing tracked
-    return (s == kAny || s_.count(s) > 0) && (p == kAny || p_.count(p) > 0) &&
-           (o == kAny || o_.count(o) > 0);
+  bool MayMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                int range_pos = kNoInterval, rdf::TermId hi = kAny) const {
+    if (p_.ids.empty()) return false;  // nothing tracked
+    if (!s_.MayHold(s)) return false;
+    // Exact probes first: the interval probe may walk the id set.
+    if (range_pos == kIntervalP) return o_.MayHold(o) && p_.MayHoldIn(p, hi);
+    if (range_pos == kIntervalO) return p_.MayHold(p) && o_.MayHoldIn(o, hi);
+    return p_.MayHold(p) && o_.MayHold(o);
   }
 
  private:
-  std::unordered_set<rdf::TermId> s_, p_, o_;
+  struct Ids {
+    // Above this many ids an interval probe answers from [min, max] alone.
+    static constexpr size_t kExactIntervalLimit = 64;
+    std::unordered_set<rdf::TermId> ids;
+    rdf::TermId min = kAny;
+    rdf::TermId max = 0;
+
+    void Add(rdf::TermId id) {
+      ids.insert(id);
+      min = std::min(min, id);
+      max = std::max(max, id);
+    }
+    bool MayHold(rdf::TermId id) const {
+      return id == kAny || ids.count(id) > 0;
+    }
+    bool MayHoldIn(rdf::TermId lo, rdf::TermId hi) const {
+      if (hi < min || lo > max) return false;
+      if (ids.size() > kExactIntervalLimit) return true;
+      return std::any_of(ids.begin(), ids.end(), [&](rdf::TermId id) {
+        return id >= lo && id <= hi;
+      });
+    }
+  };
+
+  Ids s_, p_, o_;
 };
 
 /// \brief Opaque position hint threaded through TryGetRangeHinted calls.
@@ -148,11 +201,12 @@ class TripleSource {
 
   /// \brief Interval batch fast path, for the hierarchy-encoded atoms of
   /// rdf/encoding.h: like TryGetRange, but the position selected by
-  /// `range_pos` (query::Atom::kRangeP = property, kRangeO = object)
-  /// matches any id in [its pattern value, hi] instead of exactly one id.
-  /// Range-capable sources answer when one of their clustered orders makes
-  /// the interval contiguous; everyone else returns false and is served by
-  /// ScanIntervalInto.
+  /// `range_pos` (kIntervalP = property, kIntervalO = object) matches any
+  /// id in [its pattern value, hi] instead of exactly one id. Range-capable
+  /// sources answer when one of their clustered orders makes the interval
+  /// contiguous; everyone else returns false and is served by
+  /// ScanIntervalInto. DESIGN.md §12.2 maps every interval shape to its
+  /// access path.
   RDFREF_BORROWS_FROM(this)
   virtual bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                    int range_pos, rdf::TermId hi,
@@ -166,29 +220,42 @@ class TripleSource {
     return false;
   }
 
+  /// \brief Hinted interval fast path: TryGetIntervalRange carrying a
+  /// RangeHint between successive lookups, exactly as TryGetRangeHinted
+  /// does for classic patterns. Succeeds on the same patterns, with the same
+  /// span, as the unhinted call; the default ignores the hint.
+  RDFREF_BORROWS_FROM(this)
+  virtual bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p,
+                                         rdf::TermId o, int range_pos,
+                                         rdf::TermId hi,
+                                         std::span<const rdf::Triple>* out,
+                                         RangeHint* hint) const {
+    (void)hint;
+    return TryGetIntervalRange(s, p, o, range_pos, hi, out);
+  }
+
   /// \brief Interval batch fallback: clears `*out` and appends every match
-  /// of the pattern with the ranged position relaxed to [lo, hi]. The
-  /// default widens the ranged position to a wildcard scan and filters;
-  /// sources with better access paths may override.
+  /// of the pattern with the ranged position relaxed to [lo, hi]. Store and
+  /// SnapshotSource answer from their own indexes (an index range or one
+  /// filtered prefix block per generation) and deliver SPO order. This default
+  /// is for sources with no interval index (federation mediators, vertical
+  /// partitions): it scans the pattern with the ranged position wildcarded
+  /// and keeps the matches.
   virtual void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                 int range_pos, rdf::TermId hi,
                                 std::vector<rdf::Triple>* out) const {
-    const bool on_p = range_pos == 1;
-    const rdf::TermId lo = on_p ? p : o;
-    const rdf::TermId ws = s;
-    const rdf::TermId wp = on_p ? kAny : p;
-    const rdf::TermId wo = on_p ? o : kAny;
+    const bool on_p = range_pos == kIntervalP;
     out->clear();
-    Scan(ws, wp, wo, [&](const rdf::Triple& t) {
-      const rdf::TermId v = on_p ? t.p : t.o;
-      if (v >= lo && v <= hi) out->push_back(t);
+    Scan(s, on_p ? kAny : p, on_p ? o : kAny, [&](const rdf::Triple& t) {
+      if (MatchesPattern(t, s, p, o, range_pos, hi)) out->push_back(t);
     });
   }
 
-  /// \brief Number of triples matching the interval pattern: exact when the
-  /// interval is contiguous in some clustered order, otherwise the count of
-  /// the widened (wildcarded) pattern — an upper bound, which is what the
-  /// join-ordering and costing consumers need.
+  /// \brief Number of triples matching the interval pattern: exact for
+  /// Store and SnapshotSource. This default answers exactly when the
+  /// interval is contiguous, otherwise with the count of the pattern whose
+  /// ranged position is wildcarded — an upper bound, which is what the
+  /// join-ordering and costing consumers of non-local sources need.
   virtual size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p,
                                       rdf::TermId o, int range_pos,
                                       rdf::TermId hi) const {
@@ -196,7 +263,7 @@ class TripleSource {
     if (TryGetIntervalRange(s, p, o, range_pos, hi, &range)) {
       return range.size();
     }
-    const bool on_p = range_pos == 1;
+    const bool on_p = range_pos == kIntervalP;
     return CountMatches(s, on_p ? kAny : p, on_p ? o : kAny);
   }
 
@@ -261,13 +328,16 @@ class RDFREF_BORROWS_FROM(source, this) PatternCursor {
 
   /// \brief Re-binds the cursor to an interval pattern (the ranged position
   /// holds the interval's low endpoint; see TryGetIntervalRange). Zero-copy
-  /// when the source exposes the interval contiguously, buffered otherwise.
+  /// when the source exposes the interval contiguously, buffered otherwise;
+  /// `hint` gallops successive lookups like Reset's.
   std::span<const rdf::Triple> ResetInterval(
       const TripleSource& source RDFREF_LIFETIME_BOUND, rdf::TermId s,
       rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
-      ResidualEq residual = {}) RDFREF_LIFETIME_BOUND {
+      ResidualEq residual = {}, RangeHint* hint = nullptr)
+      RDFREF_LIFETIME_BOUND {
     if (!residual.any()) {
-      if (source.TryGetIntervalRange(s, p, o, range_pos, hi, &view_)) {
+      if (source.TryGetIntervalRangeHinted(s, p, o, range_pos, hi, &view_,
+                                           hint)) {
         return view_;
       }
       source.ScanIntervalInto(s, p, o, range_pos, hi, &buffer_);
@@ -275,7 +345,7 @@ class RDFREF_BORROWS_FROM(source, this) PatternCursor {
       return view_;
     }
     std::span<const rdf::Triple> raw;
-    if (source.TryGetIntervalRange(s, p, o, range_pos, hi, &raw)) {
+    if (source.TryGetIntervalRangeHinted(s, p, o, range_pos, hi, &raw, hint)) {
       buffer_.clear();
       for (const rdf::Triple& t : raw) {
         if (residual.Accepts(t)) buffer_.push_back(t);

@@ -26,13 +26,13 @@ bool DeltaRun::Removes(const rdf::Triple& t) const {
 }
 
 size_t DeltaRun::CountRemovedMatches(rdf::TermId s, rdf::TermId p,
-                                     rdf::TermId o) const {
-  if (!MayRemoveMatch(s, p, o)) return 0;
-  size_t count = 0;
-  for (const rdf::Triple& t : removed_) {
-    if (MatchesPattern(t, s, p, o)) ++count;
-  }
-  return count;
+                                     rdf::TermId o, int range_pos,
+                                     rdf::TermId hi) const {
+  if (!MayRemoveMatch(s, p, o, range_pos, hi)) return 0;
+  return static_cast<size_t>(
+      std::count_if(removed_.begin(), removed_.end(), [&](const rdf::Triple& t) {
+        return MatchesPattern(t, s, p, o, range_pos, hi);
+      }));
 }
 
 namespace {
@@ -44,6 +44,39 @@ void AddRunToPresence(const DeltaRun& run, PatternPresence* added,
     added->Add(t);
   }
   for (const rdf::Triple& t : run.removed()) removed->Add(t);
+}
+
+// One generation's matches of a classic (range_pos == kNoInterval) or
+// interval pattern, appended in index order.
+void AppendGenerationMatches(const Store& g, rdf::TermId s, rdf::TermId p,
+                             rdf::TermId o, int range_pos, rdf::TermId hi,
+                             std::vector<rdf::Triple>* out) {
+  if (range_pos == kNoInterval) {
+    const std::span<const rdf::Triple> m = g.EqualRangeSpan(s, p, o);
+    out->insert(out->end(), m.begin(), m.end());
+  } else {
+    g.AppendIntervalMatches(s, p, o, range_pos, hi, out);
+  }
+}
+
+size_t CountGenerationMatches(const Store& g, rdf::TermId s, rdf::TermId p,
+                              rdf::TermId o, int range_pos, rdf::TermId hi) {
+  return range_pos == kNoInterval
+             ? g.CountMatches(s, p, o)
+             : g.CountIntervalMatches(s, p, o, range_pos, hi);
+}
+
+// One generation's matches as a single index range; false for an interval
+// shape that no clustered order holds contiguously.
+bool GenerationRange(const Store& g, rdf::TermId s, rdf::TermId p,
+                     rdf::TermId o, int range_pos, rdf::TermId hi,
+                     std::span<const rdf::Triple>* out, RangeHint* hint) {
+  if (range_pos != kNoInterval) {
+    return g.TryGetIntervalRangeHinted(s, p, o, range_pos, hi, out, hint);
+  }
+  *out = hint == nullptr ? g.EqualRangeSpan(s, p, o)
+                         : g.EqualRangeSpanHinted(s, p, o, hint);
+  return true;
 }
 
 }  // namespace
@@ -87,61 +120,75 @@ bool SnapshotSource::Contains(const rdf::Triple& t) const {
 
 void SnapshotSource::ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                               std::vector<rdf::Triple>* out) const {
+  ScanMerged(s, p, o, kNoInterval, kAny, out);
+}
+
+void SnapshotSource::ScanIntervalInto(rdf::TermId s, rdf::TermId p,
+                                      rdf::TermId o, int range_pos,
+                                      rdf::TermId hi,
+                                      std::vector<rdf::Triple>* out) const {
+  ScanMerged(s, p, o, range_pos, hi, out);
+}
+
+void SnapshotSource::ScanMerged(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                int range_pos, rdf::TermId hi,
+                                std::vector<rdf::Triple>* out) const {
   out->clear();
   const auto& runs = version_->runs;
   // One pattern-level presence check decides whether any generation's
-  // removals can filter this scan; when none can, every span is appended
-  // verbatim with no per-triple membership probes.
-  bool filter =
-      !head_.removed.empty() && head_.removed_presence.MayMatch(s, p, o);
-  if (!filter && version_->RunsMayRemove(s, p, o)) {
+  // removals can filter this scan; when none can, every generation's
+  // matches are appended verbatim with no per-triple membership probes.
+  bool filter = !head_.removed.empty() &&
+                head_.removed_presence.MayMatch(s, p, o, range_pos, hi);
+  if (!filter && version_->RunsMayRemove(s, p, o, range_pos, hi)) {
     for (const auto& run : runs) {
-      filter = filter || run->MayRemoveMatch(s, p, o);
+      filter = filter || run->MayRemoveMatch(s, p, o, range_pos, hi);
     }
   }
-  const bool runs_may_add = version_->RunsMayAdd(s, p, o);
-  size_t sorted_contributors = 0;  // spans appended verbatim, each sorted
-  std::span<const rdf::Triple> base = version_->base->EqualRangeSpan(s, p, o);
-  if (!filter) {
-    if (!base.empty()) ++sorted_contributors;
-    out->insert(out->end(), base.begin(), base.end());
-    if (runs_may_add) {
-      for (const auto& run : runs) {
-        if (!run->MayAddMatch(s, p, o)) continue;
-        std::span<const rdf::Triple> adds = run->adds().EqualRangeSpan(s, p, o);
-        if (!adds.empty()) ++sorted_contributors;
-        out->insert(out->end(), adds.begin(), adds.end());
-      }
+  size_t contributors = 0;  // generations with surviving matches
+  // Appends generation `gen`'s matches, dropping those a newer generation
+  // removed (in place: the filter keeps index order and allocates nothing).
+  auto append = [&](const Store& g, size_t gen) {
+    const size_t from = out->size();
+    AppendGenerationMatches(g, s, p, o, range_pos, hi, out);
+    if (filter) {
+      out->erase(std::remove_if(out->begin() + static_cast<ptrdiff_t>(from),
+                                out->end(),
+                                [&](const rdf::Triple& t) {
+                                  return RemovedAbove(t, gen);
+                                }),
+                 out->end());
     }
-  } else {
-    sorted_contributors = 2;  // filtered interleaving: always re-sort
-    for (const rdf::Triple& t : base) {
-      if (!RemovedAbove(t, 0)) out->push_back(t);
-    }
-    if (runs_may_add) {
-      for (size_t i = 0; i < runs.size(); ++i) {
-        if (!runs[i]->MayAddMatch(s, p, o)) continue;
-        for (const rdf::Triple& t : runs[i]->adds().EqualRangeSpan(s, p, o)) {
-          if (!RemovedAbove(t, i + 1)) out->push_back(t);
-        }
+    if (out->size() > from) ++contributors;
+  };
+  append(*version_->base, 0);
+  if (version_->RunsMayAdd(s, p, o, range_pos, hi)) {
+    for (size_t i = 0; i < runs.size(); ++i) {
+      if (runs[i]->MayAddMatch(s, p, o, range_pos, hi)) {
+        append(runs[i]->adds(), i + 1);
       }
     }
   }
-  if (!head_.added.empty() && head_.added_presence.MayMatch(s, p, o)) {
+  if (!head_.added.empty() &&
+      head_.added_presence.MayMatch(s, p, o, range_pos, hi)) {
     for (const rdf::Triple& t : head_.added) {  // hash order: needs re-sort
-      if (MatchesPattern(t, s, p, o)) {
+      if (MatchesPattern(t, s, p, o, range_pos, hi)) {
         out->push_back(t);
-        sorted_contributors = 2;
+        contributors = 2;
       }
     }
   }
-  // Deliver in SPO order. Restricted to one pattern, every clustered
-  // permutation of a Store is SPO-ordered too (the bound positions are
-  // constant across the matches), so snapshot scans return matches in
-  // exactly the order a pristine Store over the visible set would — the
-  // invariant that makes pinned-epoch evaluation bit-identical to
-  // from-scratch evaluation. A single verbatim span is already sorted.
-  if (sorted_contributors > 1) std::sort(out->begin(), out->end());
+  // Deliver in SPO order. Restricted to one classic pattern, every
+  // clustered permutation of a Store is SPO-ordered too (the bound
+  // positions are constant across the matches), so snapshot scans return
+  // matches in exactly the order a pristine Store over the visible set
+  // would — the invariant that makes pinned-epoch evaluation bit-identical
+  // to from-scratch evaluation. A single classic generation is already
+  // sorted; an interval range of POS, OSP or PSO need not be.
+  if (contributors > 1 ||
+      (range_pos != kNoInterval && !std::is_sorted(out->begin(), out->end()))) {
+    std::sort(out->begin(), out->end());
+  }
 }
 
 void SnapshotSource::Scan(
@@ -154,34 +201,57 @@ void SnapshotSource::Scan(
 
 bool SnapshotSource::TryGetRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                                  std::span<const rdf::Triple>* out) const {
-  return TryGetRangeHinted(s, p, o, out, nullptr);
+  return TryGetMerged(s, p, o, kNoInterval, kAny, out, nullptr);
 }
 
 bool SnapshotSource::TryGetRangeHinted(rdf::TermId s, rdf::TermId p,
                                        rdf::TermId o,
                                        std::span<const rdf::Triple>* out,
                                        RangeHint* hint) const {
+  return TryGetMerged(s, p, o, kNoInterval, kAny, out, hint);
+}
+
+bool SnapshotSource::TryGetIntervalRange(
+    rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
+    std::span<const rdf::Triple>* out) const {
+  return TryGetMerged(s, p, o, range_pos, hi, out, nullptr);
+}
+
+bool SnapshotSource::TryGetIntervalRangeHinted(
+    rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
+    std::span<const rdf::Triple>* out, RangeHint* hint) const {
+  return TryGetMerged(s, p, o, range_pos, hi, out, hint);
+}
+
+bool SnapshotSource::TryGetMerged(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                  int range_pos, rdf::TermId hi,
+                                  std::span<const rdf::Triple>* out,
+                                  RangeHint* hint) const {
   // Zero-copy iff (a) the frozen head cannot touch the pattern, (b) no
   // run's removals can filter it, and (c) at most one sealed generation
   // holds matches — then that generation's clustered range IS the answer.
   // The combined presence unions make the hot case (pattern untouched by
   // every run) cost two presence checks regardless of the run count, so a
   // snapshot probe stays within a few percent of a pristine Store's.
-  if (!head_.empty() && head_.MayAffect(s, p, o)) return false;
-  if (version_->RunsMayRemove(s, p, o)) return false;
+  if (!head_.empty() && head_.MayAffect(s, p, o, range_pos, hi)) return false;
+  if (version_->RunsMayRemove(s, p, o, range_pos, hi)) return false;
   // The hint always tracks the base index: in the monotone lookup sequences
   // it accelerates, the base is overwhelmingly the contributing generation.
-  std::span<const rdf::Triple> chosen =
-      hint == nullptr ? version_->base->EqualRangeSpan(s, p, o)
-                      : version_->base->EqualRangeSpanHinted(s, p, o, hint);
-  if (!version_->RunsMayAdd(s, p, o)) {
+  std::span<const rdf::Triple> chosen;
+  if (!GenerationRange(*version_->base, s, p, o, range_pos, hi, &chosen,
+                       hint)) {
+    return false;  // interval not contiguous in any clustered order
+  }
+  if (!version_->RunsMayAdd(s, p, o, range_pos, hi)) {
     *out = chosen;
     return true;
   }
   size_t contributors = chosen.empty() ? 0 : 1;
   for (const auto& run : version_->runs) {
-    if (!run->MayAddMatch(s, p, o)) continue;
-    std::span<const rdf::Triple> adds = run->adds().EqualRangeSpan(s, p, o);
+    if (!run->MayAddMatch(s, p, o, range_pos, hi)) continue;
+    std::span<const rdf::Triple> adds;
+    // Same shape as the base, so a run's range exists whenever the base's does.
+    GenerationRange(run->adds(), s, p, o, range_pos, hi, &adds, nullptr);
     if (adds.empty()) continue;
     if (++contributors > 1) return false;
     chosen = adds;
@@ -190,59 +260,42 @@ bool SnapshotSource::TryGetRangeHinted(rdf::TermId s, rdf::TermId p,
   return true;
 }
 
-bool SnapshotSource::TryGetIntervalRange(
-    rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos, rdf::TermId hi,
-    std::span<const rdf::Triple>* out) const {
-  // Presence probes must cover every id the interval spans, so the ranged
-  // position is widened to a wildcard: conservative, never unsound.
-  const bool on_p = range_pos == 1;
-  const rdf::TermId ws = s;
-  const rdf::TermId wp = on_p ? kAny : p;
-  const rdf::TermId wo = on_p ? o : kAny;
-  if (!head_.empty() && head_.MayAffect(ws, wp, wo)) return false;
-  if (version_->RunsMayRemove(ws, wp, wo)) return false;
-  std::span<const rdf::Triple> chosen;
-  if (!version_->base->TryGetIntervalRange(s, p, o, range_pos, hi, &chosen)) {
-    return false;  // interval not contiguous in any clustered order
-  }
-  if (!version_->RunsMayAdd(ws, wp, wo)) {
-    *out = chosen;
-    return true;
-  }
-  size_t contributors = chosen.empty() ? 0 : 1;
-  for (const auto& run : version_->runs) {
-    if (!run->MayAddMatch(ws, wp, wo)) continue;
-    std::span<const rdf::Triple> adds;
-    if (!run->adds().TryGetIntervalRange(s, p, o, range_pos, hi, &adds)) {
-      return false;
-    }
-    if (adds.empty()) continue;
-    if (++contributors > 1) return false;
-    chosen = adds;
-  }
-  *out = chosen;
-  return true;
-}
-
 size_t SnapshotSource::CountMatches(rdf::TermId s, rdf::TermId p,
                                     rdf::TermId o) const {
+  return CountMerged(s, p, o, kNoInterval, kAny);
+}
+
+size_t SnapshotSource::CountIntervalMatches(rdf::TermId s, rdf::TermId p,
+                                            rdf::TermId o, int range_pos,
+                                            rdf::TermId hi) const {
+  return CountMerged(s, p, o, range_pos, hi);
+}
+
+size_t SnapshotSource::CountMerged(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                   int range_pos, rdf::TermId hi) const {
   // Exact by the generation invariants: every add was invisible when
   // recorded, every removal kills exactly one visible older occurrence.
-  size_t count = version_->base->CountMatches(s, p, o);
-  if (version_->RunsMayAdd(s, p, o) || version_->RunsMayRemove(s, p, o)) {
+  size_t count =
+      CountGenerationMatches(*version_->base, s, p, o, range_pos, hi);
+  if (version_->RunsMayAdd(s, p, o, range_pos, hi) ||
+      version_->RunsMayRemove(s, p, o, range_pos, hi)) {
     for (const auto& run : version_->runs) {
-      if (run->MayAddMatch(s, p, o)) count += run->adds().CountMatches(s, p, o);
-      count -= run->CountRemovedMatches(s, p, o);
+      if (run->MayAddMatch(s, p, o, range_pos, hi)) {
+        count += CountGenerationMatches(run->adds(), s, p, o, range_pos, hi);
+      }
+      count -= run->CountRemovedMatches(s, p, o, range_pos, hi);
     }
   }
-  if (!head_.added.empty() && head_.added_presence.MayMatch(s, p, o)) {
+  if (!head_.added.empty() &&
+      head_.added_presence.MayMatch(s, p, o, range_pos, hi)) {
     for (const rdf::Triple& t : head_.added) {
-      if (MatchesPattern(t, s, p, o)) ++count;
+      if (MatchesPattern(t, s, p, o, range_pos, hi)) ++count;
     }
   }
-  if (!head_.removed.empty() && head_.removed_presence.MayMatch(s, p, o)) {
+  if (!head_.removed.empty() &&
+      head_.removed_presence.MayMatch(s, p, o, range_pos, hi)) {
     for (const rdf::Triple& t : head_.removed) {
-      if (MatchesPattern(t, s, p, o)) --count;
+      if (MatchesPattern(t, s, p, o, range_pos, hi)) --count;
     }
   }
   return count;

@@ -49,9 +49,12 @@ class DeltaRun {
 
   /// \brief Conservatively true when an added triple could match the
   /// pattern — three hash probes that let hot scans skip the adds index
-  /// entirely for the (common) patterns a small run cannot touch.
-  bool MayAddMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return adds_.size() > 0 && added_presence_.MayMatch(s, p, o);
+  /// entirely for the (common) patterns a small run cannot touch. Here and
+  /// below, `range_pos`/`hi` make the pattern an interval pattern.
+  bool MayAddMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                   int range_pos = kNoInterval, rdf::TermId hi = kAny) const {
+    return adds_.size() > 0 &&
+           added_presence_.MayMatch(s, p, o, range_pos, hi);
   }
 
   /// \brief True when this generation removed `t` from an older one.
@@ -63,14 +66,18 @@ class DeltaRun {
   }
 
   /// \brief Conservatively true when a removal could filter the pattern.
-  bool MayRemoveMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return !removed_.empty() && removed_presence_.MayMatch(s, p, o);
+  bool MayRemoveMatch(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                      int range_pos = kNoInterval,
+                      rdf::TermId hi = kAny) const {
+    return !removed_.empty() &&
+           removed_presence_.MayMatch(s, p, o, range_pos, hi);
   }
 
   /// \brief Exact number of removed triples matching the pattern (linear;
   /// runs stay small relative to the base by compaction policy).
-  size_t CountRemovedMatches(rdf::TermId s, rdf::TermId p,
-                             rdf::TermId o) const;
+  size_t CountRemovedMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                             int range_pos = kNoInterval,
+                             rdf::TermId hi = kAny) const;
 
  private:
   Store adds_;
@@ -91,9 +98,12 @@ struct HeadDelta {
 
   bool empty() const { return added.empty() && removed.empty(); }
   size_t size() const { return added.size() + removed.size(); }
-  bool MayAffect(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return (!added.empty() && added_presence.MayMatch(s, p, o)) ||
-           (!removed.empty() && removed_presence.MayMatch(s, p, o));
+  bool MayAffect(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                 int range_pos = kNoInterval, rdf::TermId hi = kAny) const {
+    return (!added.empty() &&
+            added_presence.MayMatch(s, p, o, range_pos, hi)) ||
+           (!removed.empty() &&
+            removed_presence.MayMatch(s, p, o, range_pos, hi));
   }
 };
 
@@ -111,11 +121,16 @@ struct Version {
   PatternPresence runs_added_presence;
   PatternPresence runs_removed_presence;
 
-  bool RunsMayAdd(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return !runs.empty() && runs_added_presence.MayMatch(s, p, o);
+  bool RunsMayAdd(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                  int range_pos = kNoInterval, rdf::TermId hi = kAny) const {
+    return !runs.empty() &&
+           runs_added_presence.MayMatch(s, p, o, range_pos, hi);
   }
-  bool RunsMayRemove(rdf::TermId s, rdf::TermId p, rdf::TermId o) const {
-    return !runs.empty() && runs_removed_presence.MayMatch(s, p, o);
+  bool RunsMayRemove(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                     int range_pos = kNoInterval,
+                     rdf::TermId hi = kAny) const {
+    return !runs.empty() &&
+           runs_removed_presence.MayMatch(s, p, o, range_pos, hi);
   }
 };
 
@@ -134,7 +149,9 @@ struct Version {
 /// matches, the matching range of that generation's own clustered index is
 /// returned as-is — so a fully compacted snapshot (or any pattern whose
 /// matches live in one generation) scans exactly as fast as a pristine
-/// Store, hinted galloping search included.
+/// Store, hinted galloping search included. Interval patterns follow the
+/// same rules: each generation answers with its own interval access, and
+/// the presence checks test the whole interval, not its low endpoint.
 class SnapshotSource : public TripleSource {
  public:
   SnapshotSource(uint64_t epoch, std::shared_ptr<const Version> version,
@@ -157,21 +174,37 @@ class SnapshotSource : public TripleSource {
                          std::span<const rdf::Triple>* out,
                          RangeHint* hint) const override;
 
-  /// \brief Interval fast path: zero-copy iff no generation's overlays can
-  /// touch the *widened* pattern (ranged position wildcarded — an interval
-  /// probe must be conservative against every id it spans) and at most one
-  /// sealed generation holds matches, delegating to that generation's own
-  /// contiguity table. Everyone else is served by ScanIntervalInto.
+  /// \brief Interval fast path: zero-copy iff the interval shape is
+  /// contiguous in a Store (Store::IntervalIsContiguous), no overlay can
+  /// touch any id the interval spans, and at most one sealed generation
+  /// holds matches. Everyone else is served by ScanIntervalInto.
   RDFREF_BORROWS_FROM(this)
   bool TryGetIntervalRange(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                            int range_pos, rdf::TermId hi,
                            std::span<const rdf::Triple>* out) const override;
 
+  RDFREF_BORROWS_FROM(this)
+  bool TryGetIntervalRangeHinted(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                                 int range_pos, rdf::TermId hi,
+                                 std::span<const rdf::Triple>* out,
+                                 RangeHint* hint) const override;
+
   void ScanInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
                 std::vector<rdf::Triple>* out) const override;
 
+  /// \brief Merges every generation's interval matches (index range or
+  /// filtered prefix block), drops removed ones, and delivers SPO order —
+  /// the interval analogue of ScanInto, with no allocation beyond `out`.
+  void ScanIntervalInto(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                        int range_pos, rdf::TermId hi,
+                        std::vector<rdf::Triple>* out) const override;
+
   size_t CountMatches(rdf::TermId s, rdf::TermId p,
                       rdf::TermId o) const override;
+
+  /// \brief Exact, by the same generation invariants as CountMatches.
+  size_t CountIntervalMatches(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                              int range_pos, rdf::TermId hi) const override;
 
   const rdf::Dictionary& dict() const RDFREF_LIFETIME_BOUND override {
     return version_->base->dict();
@@ -192,6 +225,17 @@ class SnapshotSource : public TripleSource {
   // True when some generation newer than `gen` (0 = base, i = runs[i-1],
   // R+1 = head) removes `t`.
   bool RemovedAbove(const rdf::Triple& t, size_t gen) const;
+
+  // The shared bodies of the classic (range_pos == kNoInterval) and
+  // interval access methods.
+  RDFREF_BORROWS_FROM(this)
+  bool TryGetMerged(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                    int range_pos, rdf::TermId hi,
+                    std::span<const rdf::Triple>* out, RangeHint* hint) const;
+  void ScanMerged(rdf::TermId s, rdf::TermId p, rdf::TermId o, int range_pos,
+                  rdf::TermId hi, std::vector<rdf::Triple>* out) const;
+  size_t CountMerged(rdf::TermId s, rdf::TermId p, rdf::TermId o,
+                     int range_pos, rdf::TermId hi) const;
 
   uint64_t epoch_;
   std::shared_ptr<const Version> version_;

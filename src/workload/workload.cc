@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -168,6 +169,19 @@ Result<WorkloadReport> RunClosedLoop(api::QueryAnswerer* answerer,
               : query::Cover::SingleFragment(mix.queries[i].cq.body().size());
     }
   }
+
+  // A cached run's view state ends with it, on every return path: left in
+  // place, the next run on this answerer would inherit the cache entries
+  // (reporting hits it never installed) and the GCov hints of this mix.
+  struct ViewStateReset {
+    api::QueryAnswerer* answerer;
+    ~ViewStateReset() {
+      answerer->DisableViewCache();
+      answerer->ApplyViewSelection({});
+    }
+  };
+  std::optional<ViewStateReset> view_state_reset;
+  if (options.view_cache) view_state_reset.emplace(ViewStateReset{answerer});
 
   // View-cache setup happens before warm-up: the warm-up pass then doubles
   // as the cache fill, and the measured window reports steady-state rates.

@@ -76,7 +76,10 @@ struct DriverOptions {
   /// Enable the cross-query view cache for the run (Ref strategies only):
   /// the driver turns it on before the warm-up pass, so warm-up installs
   /// the hot views and the measured window runs against a warm cache.
-  /// Counters in the report cover the measured window only.
+  /// Counters in the report cover the measured window only. The run owns
+  /// that view state: when it ends, the cache is disabled and the selection
+  /// hints are cleared, so the next run on the same answerer (the next row
+  /// of a sweep) starts with no cached entries and no GCov hints.
   bool view_cache = false;
   /// With view_cache: run the workload-driven view-selection pass over the
   /// mix first, so the chosen views get eviction protection and GCov

@@ -11,6 +11,7 @@
 #include "rdf/encoding.h"
 #include "rdf/graph.h"
 #include "rdf/vocab.h"
+#include "reformulation/reformulator.h"
 
 namespace rdfref {
 namespace schema {
@@ -128,6 +129,61 @@ TEST(EncoderTest, DiamondMultiParentEscapesButStaysComplete) {
     ASSERT_TRUE(table.ok());
     EXPECT_EQ(table->NumRows(), 1u) << cls;  // x is in every class via A
   }
+}
+
+TEST(EncoderTest, FusedIntervalReplacesTheClassicMemberItCovers) {
+  // C0 ⊑ C1 ⊑ C2 and q ⊑ p: the interval of C2 (and of p) holds the term
+  // itself, so its classic member would only retrieve a subset of the
+  // interval member's rows — each union is exactly one interval member.
+  rdf::Graph g;
+  std::vector<rdf::TermId> cls;
+  for (int i = 0; i < 3; ++i) {
+    cls.push_back(g.dict().InternUri("http://t/C" + std::to_string(i)));
+  }
+  g.Add(cls[0], vocab::kSubClassOfId, cls[1]);
+  g.Add(cls[1], vocab::kSubClassOfId, cls[2]);
+  rdf::TermId p = g.dict().InternUri("http://t/p");
+  rdf::TermId q = g.dict().InternUri("http://t/q");
+  g.Add(q, vocab::kSubPropertyOfId, p);
+  rdf::TermId i0 = g.dict().InternUri("http://t/i0");
+  rdf::TermId i1 = g.dict().InternUri("http://t/i1");
+  g.Add(i0, vocab::kTypeId, cls[0]);
+  g.Add(i1, vocab::kTypeId, cls[2]);
+  g.Add(i0, q, i1);
+  g.Add(i1, p, i0);
+
+  api::QueryAnswerer answerer(std::move(g));
+  reformulation::Reformulator ref(&answerer.schema(), {}, &answerer.dict());
+  for (const query::Cq& single :
+       {TypeQuery(&answerer, "http://t/C2"), PropQuery(&answerer, "http://t/p")}) {
+    auto ucq = ref.Reformulate(single);
+    ASSERT_TRUE(ucq.ok()) << ucq.status();
+    ASSERT_EQ(ucq->size(), 1u);
+    EXPECT_TRUE(ucq->members()[0].body()[0].has_range());
+    ExpectEncodedEqualsClassic(&answerer, single);
+  }
+
+  // In a product, every member keeps the one interval member of ?x p ?o.
+  query::Cq q6;
+  query::VarId x = q6.AddVar("x");
+  query::VarId u = q6.AddVar("u");
+  query::VarId z = q6.AddVar("z");
+  q6.AddAtom(query::Atom(query::QTerm::Var(x),
+                         query::QTerm::Const(vocab::kTypeId),
+                         query::QTerm::Var(u)));
+  q6.AddAtom(query::Atom(query::QTerm::Var(x),
+                         query::QTerm::Const(answerer.dict().InternUri(
+                             "http://t/p")),
+                         query::QTerm::Var(z)));
+  q6.AddHead(query::QTerm::Var(x));
+  q6.AddHead(query::QTerm::Var(u));
+  q6.AddHead(query::QTerm::Var(z));
+  auto ucq = ref.Reformulate(q6);
+  ASSERT_TRUE(ucq.ok()) << ucq.status();
+  for (const query::Cq& member : ucq->members()) {
+    EXPECT_TRUE(member.body()[1].has_range()) << member.ToString(answerer.dict());
+  }
+  ExpectEncodedEqualsClassic(&answerer, q6);
 }
 
 TEST(EncoderTest, OverBudgetHierarchyFallsBackToClassic) {

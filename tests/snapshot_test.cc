@@ -25,6 +25,7 @@
 #include "query/sparql_parser.h"
 #include "rdf/vocab.h"
 #include "storage/store.h"
+#include "interval_access_check.h"
 
 namespace rdfref {
 namespace storage {
@@ -191,9 +192,9 @@ TEST_F(SnapshotTest, IntervalProbesAreConservativeAgainstMidIntervalOverlays) {
   // o1_ and o2_ are interned consecutively, so [o1_, o2_] is a genuine id
   // interval. Presence filters track EXACT ids, and the interval pattern
   // only names the low endpoint — an overlay write at the interval's upper
-  // id must still gate the zero-copy interval fast path, which is why the
-  // probe wildcards the ranged position before consulting any presence set
-  // (see PatternPresence in triple_source.h).
+  // id must still gate the zero-copy interval fast path, which is why
+  // presence probes test the whole interval (see PatternPresence in
+  // triple_source.h).
   ASSERT_EQ(o2_, o1_ + 1);
   constexpr int kRangeO = 2;  // query::Atom::kRangeO
 
@@ -223,12 +224,82 @@ TEST_F(SnapshotTest, IntervalProbesAreConservativeAgainstMidIntervalOverlays) {
   }
   EXPECT_EQ(overlay_hits, 1u);
 
-  // A head write the widened pattern cannot match keeps the fast path.
+  // A head write on another property keeps the fast path.
   VersionSet untouched(base_.get());
   ASSERT_TRUE(untouched.Insert(rdf::Triple(s1_, q_, o2_)));
   SnapshotPtr other = untouched.snapshot();
   ASSERT_TRUE(other->TryGetIntervalRange(kAny, p_, o1_, kRangeO, o2_, &span));
   EXPECT_EQ(span.size(), 3u);
+}
+
+// The interval access-path property on every snapshot shape: clean, head
+// adds, head removals, a sealed run with removals (plus a dirty head over
+// it), and after Compact. Each generation answers with its own interval
+// access; the merged result must equal a brute-force filter of the
+// snapshot's materialization for every interval shape.
+TEST(SnapshotIntervalTest, EveryIntervalShapeMatchesBruteForceOnEveryGeneration) {
+  for (uint64_t seed : {1, 2}) {
+    interval_check::IntervalGraph g(seed);
+    Store base(g.graph);
+    VersionSet v(&base);
+    const rdf::TermId s9 = g.id("s9"), p9 = g.id("p9"), o9 = g.id("o9");
+    auto check = [&](const char* stage, bool zero_copy_when_contiguous) {
+      SCOPED_TRACE(stage);
+      SnapshotPtr snap = v.snapshot();
+      const std::vector<rdf::Triple> visible = snap->Materialize();
+      interval_check::CheckAllShapes(*snap, visible, g.ids,
+                                     zero_copy_when_contiguous);
+      interval_check::CheckHintSequences(*snap, g.subjects, g.properties[0],
+                                         g.properties[3]);
+    };
+    check("clean", /*zero_copy_when_contiguous=*/true);
+
+    // Head adds, including ids strictly inside intervals and fresh ids.
+    ASSERT_TRUE(v.Insert(rdf::Triple(g.subjects[1], p9, g.objects[2])));
+    ASSERT_TRUE(v.Insert(rdf::Triple(s9, g.properties[2], o9)));
+    ASSERT_TRUE(v.Insert(rdf::Triple(g.subjects[0], g.properties[1], o9)));
+    check("head adds", false);
+
+    // Head removals of base triples.
+    const std::vector<rdf::Triple> original = v.snapshot()->Materialize();
+    ASSERT_TRUE(v.Remove(original[0]));
+    ASSERT_TRUE(v.Remove(original[original.size() / 2]));
+    check("head adds and removals", false);
+
+    // Seal them into a run that carries removals, then dirty the head again.
+    v.Freeze();
+    ASSERT_EQ(v.num_runs(), 1u);
+    check("sealed run with removals", false);
+    ASSERT_TRUE(v.Remove(original[1]));
+    ASSERT_TRUE(v.Remove(rdf::Triple(s9, g.properties[2], o9)));  // run add
+    ASSERT_TRUE(v.Insert(rdf::Triple(s9, p9, g.objects[0])));
+    check("run plus dirty head", false);
+    v.Freeze();
+    ASSERT_TRUE(v.Insert(original[0]));  // re-add a triple a run removed
+    check("two runs plus head", false);
+
+    v.Compact();
+    ASSERT_EQ(v.num_runs(), 0u);
+    ASSERT_EQ(v.head_size(), 0u);
+    check("compacted", /*zero_copy_when_contiguous=*/true);
+  }
+}
+
+// An overlay that touches none of an interval's ids keeps the zero-copy
+// path even when no other position is bound — the presence check tests
+// the whole interval, not a widened wildcard.
+TEST_F(SnapshotTest, IntervalZeroCopySurvivesOverlaysOutsideTheInterval) {
+  VersionSet v(base_.get());
+  const rdf::TermId far = U("far");  // interned after o1_/o2_
+  ASSERT_TRUE(v.Insert(rdf::Triple(s1_, q_, far)));
+  SnapshotPtr snap = v.snapshot();
+  std::span<const rdf::Triple> span;
+  ASSERT_TRUE(
+      snap->TryGetIntervalRange(kAny, kAny, o1_, kIntervalO, o2_, &span));
+  EXPECT_EQ(span.size(), 5u);
+  EXPECT_FALSE(
+      snap->TryGetIntervalRange(kAny, kAny, o1_, kIntervalO, far, &span));
+  EXPECT_EQ(snap->CountIntervalMatches(kAny, kAny, o1_, kIntervalO, far), 6u);
 }
 
 TEST_F(SnapshotTest, CompactPreservesVisibilityAndDrainsRuns) {

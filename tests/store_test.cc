@@ -12,6 +12,7 @@
 #include "storage/delta_store.h"
 #include "storage/serialize.h"
 #include "testing/oracle.h"
+#include "interval_access_check.h"
 
 namespace rdfref {
 namespace storage {
@@ -155,6 +156,30 @@ TEST_F(StoreTest, HintedRangesMatchPlainRangesUnderAnyLookupOrder) {
   // Empty results, hinted and not.
   same(subjects.front(), other, uri("nope"), &hint);
   same(uri("ghost"), prop, kAny, &hint);
+}
+
+// Every interval shape, on several seeded graphs: zero-copy exactly where a
+// clustered order is contiguous (now including (s [lo..hi] o) on OSP),
+// filtered prefix blocks for (s ? [lo..hi]) and (? [lo..hi] o), SPO-ordered
+// ScanIntervalInto and exact CountIntervalMatches everywhere.
+TEST(StoreIntervalTest, EveryIntervalShapeMatchesBruteForce) {
+  for (uint64_t seed : {1, 2, 3}) {
+    interval_check::IntervalGraph g(seed);
+    Store store(g.graph);
+    const std::span<const rdf::Triple> all =
+        store.EqualRangeSpan(kAny, kAny, kAny);
+    const std::vector<rdf::Triple> visible(all.begin(), all.end());
+    interval_check::CheckAllShapes(store, visible, g.ids,
+                                   /*zero_copy_when_contiguous=*/true);
+    // The two interleaved shapes never claim a contiguous range.
+    std::span<const rdf::Triple> span;
+    EXPECT_FALSE(store.TryGetIntervalRange(g.subjects[0], kAny, g.ids[0],
+                                           kIntervalO, g.ids.back(), &span));
+    EXPECT_FALSE(store.TryGetIntervalRange(kAny, g.ids[0], g.objects[0],
+                                           kIntervalP, g.ids.back(), &span));
+    interval_check::CheckHintSequences(store, g.subjects, g.properties[0],
+                                       g.properties[3]);
+  }
 }
 
 // Regression: a non-empty overlay used to force the buffered path on EVERY

@@ -270,6 +270,39 @@ TEST(DriverTest, ConcurrentWriterPreservesAnswersAndShutsDownCleanly) {
             size_before);
 }
 
+// A cached row's view state ends with the row: the next row (here an
+// uncached one, as in a workload_driver sweep) starts from an empty cache
+// and no GCov hints instead of inheriting the previous row's entries.
+TEST(DriverTest, CachedRowLeavesNoViewStateForTheNextRow) {
+  auto answerer = MakeSp2bAnswerer(0.05);
+  auto mix = Sp2bQueryMix(answerer.get());
+  ASSERT_TRUE(mix.ok());
+  DriverOptions cached;
+  cached.strategy = api::Strategy::kRefGcov;
+  cached.clients = 1;
+  cached.ops_per_client = 20;
+  cached.seed = 3;
+  cached.view_cache = true;
+  auto first = RunClosedLoop(answerer.get(), *mix, cached);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_GT(first->cache_entries, 0u);
+  EXPECT_FALSE(first->selected_views.empty());
+
+  EXPECT_FALSE(answerer->view_cache_enabled());
+  EXPECT_EQ(answerer->view_cache_stats().entries, 0u);
+  EXPECT_TRUE(answerer->view_hints().empty());
+
+  DriverOptions uncached = cached;
+  uncached.view_cache = false;
+  auto second = RunClosedLoop(answerer.get(), *mix, uncached);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->errors, 0u);
+  EXPECT_EQ(second->cache_entries, 0u);
+  EXPECT_EQ(second->total_rows, first->total_rows);  // same seeded draws
+  EXPECT_EQ(answerer->view_cache_stats().entries, 0u);
+  EXPECT_TRUE(answerer->view_hints().empty());
+}
+
 TEST(DriverTest, DurationModeStops) {
   auto answerer = MakeSp2bAnswerer(0.05);
   auto mix = Sp2bQueryMix(answerer.get());
